@@ -12,6 +12,7 @@ guards.
 from __future__ import annotations
 
 import dataclasses
+import json
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -43,6 +44,9 @@ from repro.sim.faults import DeadLetterEntry, ShedEntry
 
 SCENARIO_DIR = Path(__file__).parent / "scenarios"
 SCENARIOS = sorted(SCENARIO_DIR.glob("*.json"))
+#: ``digest_spec`` of every corpus scenario, pinned so refactors of the serving
+#: loops are proven byte-identical, not just invariant-clean.
+PINNED_DIGESTS = json.loads((Path(__file__).parent / "digests.json").read_text())
 
 
 def _load(name: str) -> ScenarioSpec:
@@ -96,6 +100,24 @@ class TestCorpusReplay:
         assert any(s.health is not None for s in specs)
         assert any(s.hedge is not None for s in specs)
         assert any(s.health is not None and s.sharded_events for s in specs)
+
+
+class TestPinnedDigests:
+    """Every committed scenario replays to its pinned result digest.
+
+    The invariants above accept any conserving run; these pins accept only the
+    exact run.  Re-pin a scenario only for a deliberate, documented behaviour
+    change.
+    """
+
+    def test_every_scenario_is_pinned(self):
+        assert set(PINNED_DIGESTS) == {p.stem for p in SCENARIOS}
+
+    @pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
+    def test_digest_matches_pin(self, path):
+        from repro.fuzz.runner import digest_spec
+
+        assert digest_spec(ScenarioSpec.load(path)) == PINNED_DIGESTS[path.stem]
 
 
 class TestShardedByteIdentity:

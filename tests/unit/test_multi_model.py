@@ -549,6 +549,54 @@ class TestSingleModelByteIdentity:
             static_report.metrics.summary()
         )
 
+    def test_identical_to_elastic_under_crashes_zombies_health_and_hedging(self):
+        """The calm-run identity above, with every fault and recovery path armed.
+
+        The committed elastic zombie scenario plus unannounced crashes and the
+        multi-model corpus hedge policy: both loops must void, retry, quarantine,
+        hedge and re-provision in lockstep.
+        """
+        import dataclasses
+        from pathlib import Path
+
+        from repro.fuzz.runner import run_scenario
+        from repro.fuzz.spec import ScenarioSpec
+
+        corpus = Path(__file__).resolve().parents[1] / "regression" / "scenarios"
+        base = ScenarioSpec.load(corpus / "gray-zombie-elastic.json")
+        spec = dataclasses.replace(
+            base,
+            hedge=ScenarioSpec.load(corpus / "gray-flaky-hedge-mm.json").hedge,
+            faults=dataclasses.replace(base.faults, failures_per_hour=600.0),
+        )
+        elastic = run_scenario(spec)
+        mm = run_scenario(dataclasses.replace(spec, loop="multi_model"))
+        assert not elastic.violations and not mm.violations
+
+        def tuples(result):
+            return self._tuples(result.completions)
+
+        assert tuples(mm) == tuples(elastic)
+        e, m = elastic.report, mm.report
+        # the scenario really exercises every path the identity is about
+        assert e.instance_failures > 0 and e.hedges_launched > 0
+        assert e.quarantine_events > 0 and e.retries > 0
+        for attr in (
+            "scheduling_rounds",
+            "dispatched_queries",
+            "retries",
+            "hedges_launched",
+            "hedges_cancelled",
+            "hedge_wins",
+            "instance_failures",
+            "quarantine_events",
+        ):
+            assert getattr(m, attr) == getattr(e, attr), attr
+        assert [(d.query.query_id, d.time_ms, d.reason) for d in m.dead_letters] == [
+            (d.query.query_id, d.time_ms, d.reason) for d in e.dead_letters
+        ]
+        assert m.total_cost() == e.total_cost()
+
     def test_untagged_queries_allowed_with_single_model(self, small_config, profiles):
         mm = MultiModelCluster({"RM2": small_config}, profiles)
         report = simulate_multi_model_serving(
