@@ -36,11 +36,12 @@ four layers::
         |   trace-driven arrival-rate phases (step, ramp, diurnal, spike) composed
         |   into one query stream with per-phase windows
         v
-    repro.sim.elasticity             ElasticServingSimulation
+    repro.sim.kernel                 ServingKernel (ElasticServingSimulation)
         |   one EventQueue carrying arrivals, completions, and the provisioning
         |   events SCALE_UP / SCALE_DOWN / INSTANCE_READY; draining semantics and
         |   an index-stable ClusterView for the scheduling policy; per-instance
-        |   billing via repro.cloud.billing.InstanceUsageLedger
+        |   billing via repro.cloud.billing.InstanceUsageLedger; the crash, retry,
+        |   gray-failure, health and hedge handlers every elastic loop shares
         v
     repro.core.controller            ElasticKairosController
         |   sliding ArrivalRateEstimator detects sustained load change; KairosPlanner
@@ -67,9 +68,9 @@ round.  Data flows through the same four layers::
         v
     repro.sim.cluster                MultiModelCluster / MultiModelClusterView
         |                            per-model partitions over one global server-id
-        |   space; repro.sim.multi_model.MultiModelServingSimulation drives the
-        |   joint event loop (per-model QoS metrics, model-tagged billing, scale
-        |   events addressed to model partitions)
+        |   space; repro.sim.multi_model.MultiModelServingSimulation runs the
+        |   serving kernel over the model partitions (per-model QoS metrics,
+        |   model-tagged billing, scale events addressed to model partitions)
         v
     repro.core                       build_multi_model_cost_matrix (one predict per
         |                            (model, type) per round, cross-model pairs

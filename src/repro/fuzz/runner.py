@@ -366,7 +366,6 @@ def run_scenario(
             noise=_noise(spec),
             rng=_service_rng(spec),
             warmup_queries=spec.warmup_queries,
-            sharded_events=spec.sharded_events,
             **_degradation_kwargs(spec),
         )
         report = sim.run(run_queries)
@@ -384,7 +383,6 @@ def run_scenario(
             rng=_service_rng(spec),
             warmup_queries=spec.warmup_queries,
             scripted_events=_scripted_events(spec),
-            sharded_events=spec.sharded_events,
             **_chaos_kwargs(spec),
         )
         if spec.loop == "elastic":
@@ -424,7 +422,6 @@ def run_scenario(
             rng=_service_rng(spec),
             warmup_queries=spec.warmup_queries,
             scripted_events=_scripted_events(spec),
-            sharded_events=spec.sharded_events,
             **_chaos_kwargs(spec),
         )
         if spec.loop == "pipeline":

@@ -473,9 +473,6 @@ class ScenarioSpec:
         :class:`PipelineSpec` is one task graph released on top of the streams'
         standalone queries, scheduled critical-path-aware against one
         end-to-end deadline.
-    sharded_events:
-        Drive the run off the sharded event/pending queues of
-        :mod:`repro.sim.sharding` (byte-identical to the single-heap path).
     start_offset_ms:
         Shift the whole scenario — arrivals, scripted events, bursts, storms — to
         a non-zero time origin, as committed real-trace slices have.
@@ -493,7 +490,6 @@ class ScenarioSpec:
     warmup_queries: int = 0
     max_queries_per_round: Optional[int] = 64
     sharded: bool = False
-    sharded_events: bool = False
     start_offset_ms: float = 0.0
     scale_events: Tuple[ScaleEventSpec, ...] = ()
     spot: Optional[SpotSpec] = None

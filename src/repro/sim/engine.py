@@ -109,11 +109,10 @@ class EventQueue:
         events past ``anchor + epsilon`` stay queued and anchor the *next* batch.
         Sub-epsilon chains are therefore partitioned greedily from the earliest event
         forward, which makes the split a deterministic function of the queue contents
-        alone.  Any sharded or merged queue
-        (:class:`~repro.sim.sharding.ShardedEventQueue`) must reuse this exact rule
-        with one **global** anchor across all shards: letting each shard anchor its
-        own batch would split the same chain differently per shard and diverge from
-        the unsharded event loop.
+        alone.  Any partitioned or merged queue must reuse this exact rule with one
+        **global** anchor across all partitions: letting each partition anchor its
+        own batch would split the same chain differently and diverge from this
+        single-heap event loop.
         """
         heap = self._heap
         if not heap:

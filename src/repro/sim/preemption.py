@@ -124,7 +124,7 @@ class PreemptibleElasticSimulation(ElasticServingSimulation):
         #: warned twice (one warning, one kill, one log entry per reclaim)
         self._warned: Set[int] = set()
         # The voiding/re-queue machinery (_inflight, _killed, _requeued_ids,
-        # _outstanding, _voided_dispatches, _forced_replans) lives in the base class,
+        # _outstanding, _voided_dispatches, _forced_replans) lives in the kernel,
         # shared with the unannounced-crash path of the fault injector.
         super().__init__(cluster, policy, **kwargs)
         self._track_inflight = True  # a kill must always find its in-flight work
@@ -316,16 +316,12 @@ class PreemptibleElasticSimulation(ElasticServingSimulation):
         # already-draining victim was on its way out anyway) and only while work
         # remains — otherwise the replacement chain would outlive the trace.
         if was_accepting and self._outstanding > 0:
-            observe = getattr(self.controller, "observe_preemption", None)
-            if observe is not None:
-                # Re-provision at the warning instant, not at the next arrival —
-                # a reclaim after the last arrival would otherwise never re-plan.
-                observe(server.type_name, now)
-                decision = self.controller.maybe_replan(now)
-                if decision is not None:
-                    self._forced_replans.append(decision)
-                    self._emit_scale_events(decision, now, events)
-            elif self.auto_reprovision:
+            # Re-provision at the warning instant, not at the next arrival — a
+            # reclaim after the last arrival would otherwise never re-plan.
+            observed = self._notify_capacity_change(
+                "observe_preemption", server.type_name, now, events
+            )
+            if not observed and self.auto_reprovision:
                 events.push(
                     Event(
                         now,
@@ -381,20 +377,11 @@ class PreemptibleElasticSimulation(ElasticServingSimulation):
             # void the scheduled completion and hand the query back to the central
             # queue at the kill instant (same-timestamp arrivals are drained by the
             # current event batch, so the next scheduling round redistributes them)
-            if id(record) in self._zombie_attempts:
-                # a zombie attempt has no completion event to void
-                self._zombie_attempts.discard(id(record))
-            else:
-                self._killed.add(id(record))
-            self._voided_dispatches += 1
-            pair = self._hedge_pairs.pop(record.query.query_id, None)
-            if pair is not None:
-                # the surviving hedge attempt still serves this query; re-queueing
-                # it too would double-serve
-                self.hedges_cancelled += 1
-                continue
-            self._requeued_ids.add(record.query.query_id)
-            events.push(Event(now, EventKind.QUERY_ARRIVAL, record.query))
+            # (a hedged query's surviving partner still serves it; re-queueing it
+            # too would double-serve)
+            if self._void(record, self._killed):
+                self._requeued_ids.add(record.query.query_id)
+                events.push(Event(now, EventKind.QUERY_ARRIVAL, record.query))
         if requeued:
             scale_log.append(
                 ScaleLogEntry(now, "requeue", server.type_name, len(requeued))

@@ -92,14 +92,9 @@ class ServingSimulation:
         warmup_queries: int = 0,
         retry: Optional[RetryPolicy] = None,
         admission: Optional[AdmissionController] = None,
-        sharded_events: bool = False,
     ):
         self.cluster = cluster
         self.policy = policy
-        #: drive the run off a ShardedEventQueue (per-kind shards); byte-identical
-        #: to the single-heap path by the sequence-number merge argument in
-        #: repro.sim.sharding
-        self.sharded_events = bool(sharded_events)
         self.qos_ms = float(qos_ms) if qos_ms is not None else cluster.model.qos_ms
         self.qos_percentile = float(qos_percentile)
         self.noise = noise
@@ -138,12 +133,7 @@ class ServingSimulation:
         clock = SimulationClock(0.0)
         # carries SERVICE_COMPLETION plus, under a retry policy, RESPONSE_TIMEOUT
         # deadlines and backoff re-queues (QUERY_ARRIVAL)
-        if self.sharded_events:
-            from repro.sim.sharding import ShardedEventQueue, shard_key_by_kind
-
-            events = ShardedEventQueue(shard_key_by_kind)
-        else:
-            events = EventQueue()
+        events = EventQueue()
         pending = PendingQueue()
         arrival_idx = 0
         n = len(ordered)

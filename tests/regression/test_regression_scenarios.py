@@ -99,7 +99,6 @@ class TestCorpusReplay:
         )
         assert any(s.health is not None for s in specs)
         assert any(s.hedge is not None for s in specs)
-        assert any(s.health is not None and s.sharded_events for s in specs)
 
 
 class TestPinnedDigests:
@@ -120,51 +119,25 @@ class TestPinnedDigests:
         assert digest_spec(ScenarioSpec.load(path)) == PINNED_DIGESTS[path.stem]
 
 
-class TestShardedByteIdentity:
-    """The sharded event loop is a pure partition of the single heap.
-
-    For every committed scenario — chaos included — routing events through
-    :class:`~repro.sim.sharding.ShardedEventQueue` must produce a byte-identical
-    result digest.  Merge exactness holds because sharded queues hand out globally
-    unique sequence numbers, so merging shard heads smallest-sort-key-first
-    reproduces the exact single-heap pop order for *any* partition.
-    """
-
-    @pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
-    def test_sharded_digest_matches_unsharded(self, path):
-        from repro.fuzz.runner import digest_spec
-
-        spec = ScenarioSpec.load(path)
-        assert digest_spec(spec) == digest_spec(
-            dataclasses.replace(spec, sharded_events=True)
-        )
-
-
 class TestPipelineSimByteIdentity:
     """With no task graphs registered, the pipeline simulator is pure overhead-free
     scaffolding: substituting :class:`PipelineServingSimulation` for
     :class:`MultiModelServingSimulation` must leave every multi-model scenario's
-    result digest byte-identical — chaos, sharded scheduling, and the sharded
-    event loop included.  The guard pins the ``coordinator.active`` gating in
-    ``_admit`` / ``_handle`` / ``run`` and the zero-FP-op ``_row_cost_scale``
-    default: any stray graph bookkeeping on the hot path shows up as a digest
-    mismatch here.
+    result digest byte-identical — chaos and sharded scheduling included.  The
+    guard pins the ``coordinator.active`` gating in ``_admit`` / ``_handle`` /
+    ``run`` and the zero-FP-op ``_row_cost_scale`` default: any stray graph
+    bookkeeping on the hot path shows up as a digest mismatch here.
     """
 
     MULTI_MODEL = [p for p in SCENARIOS if ScenarioSpec.load(p).loop == "multi_model"]
 
     @pytest.mark.parametrize("path", MULTI_MODEL, ids=lambda p: p.stem)
-    @pytest.mark.parametrize("sharded_events", [False, True])
-    def test_no_graph_digest_matches_multi_model(
-        self, path, sharded_events, monkeypatch
-    ):
+    def test_no_graph_digest_matches_multi_model(self, path, monkeypatch):
         import repro.fuzz.runner as runner_module
         from repro.fuzz.runner import digest_spec
         from repro.pipeline import PipelineServingSimulation
 
-        spec = dataclasses.replace(
-            ScenarioSpec.load(path), sharded_events=sharded_events
-        )
+        spec = ScenarioSpec.load(path)
         baseline = digest_spec(spec)
         monkeypatch.setattr(
             runner_module, "MultiModelServingSimulation", PipelineServingSimulation

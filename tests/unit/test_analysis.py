@@ -154,3 +154,25 @@ class TestSchemeRunner:
     def test_evaluator_backends(self, runner):
         oracle_eval = runner.config_evaluator("oracle")
         assert oracle_eval(HeterogeneousConfig((1, 0, 2, 0))) > 0
+
+
+class TestShardingCellColumns:
+    def test_keeps_only_host_independent_columns(self):
+        from repro.analysis.sharding import (
+            CELL_COLUMNS,
+            cell_columns,
+            fig10_sharded_round_cost,
+        )
+
+        def run():
+            return fig10_sharded_round_cost(
+                max_models=2, queries_per_model=4, min_seconds=1e-3
+            )
+
+        full = run()
+        cells = cell_columns(full)
+        assert list(cells.headers) == list(CELL_COLUMNS)
+        for name in CELL_COLUMNS:
+            assert cells.column(name) == full.column(name)
+        # the recorded table is the same text on every run
+        assert cells.format() == cell_columns(run()).format()

@@ -99,6 +99,29 @@ class TestEventQueue:
         q.push(Event(1.0, EventKind.CONTROL))
         q.clear()
         assert len(q) == 0
+        assert q.pop_batch() == []
+
+    def test_only_kinds(self):
+        q = EventQueue()
+        q.push(Event(3.0, EventKind.QUERY_ARRIVAL, "a"))
+        q.push(Event(1.0, EventKind.SERVICE_COMPLETION, "c"))
+        q.push(Event(2.0, EventKind.SCALE_UP, None))
+        assert not q.only_kinds({EventKind.QUERY_ARRIVAL})
+        assert q.only_kinds(
+            {EventKind.QUERY_ARRIVAL, EventKind.SERVICE_COMPLETION, EventKind.SCALE_UP}
+        )
+        assert not q.only_kinds(set())  # empty kinds always answers False
+        assert not EventQueue().only_kinds({EventKind.CONTROL})
+
+    def test_discard_preserves_survivor_order(self):
+        q = EventQueue()
+        q.push_all(Event(float(i % 4), EventKind.CONTROL, i) for i in range(12))
+        assert q.discard(lambda e: e.payload % 2 == 0) == 6
+        drained = []
+        while q:
+            drained.append(q.pop().payload)
+        # survivors keep their (time, insertion) order
+        assert drained == [1, 5, 9, 3, 7, 11]
 
 
 class TestScaleEventKinds:

@@ -387,6 +387,41 @@ def _storm_sim(profiles, rm2, *, retry, storm_at=200.0, count=2, auto_replace=Tr
 
 
 class TestCrashLifecycle:
+    def test_crash_with_controller_folds_forced_replan_into_report(
+        self, profiles, rm2
+    ):
+        """A controller absorbs the crash: its forced re-plan is acted on and listed,
+        and the injector's like-for-like replacement stays out of the way."""
+        controller = ElasticKairosController(
+            "RM2",
+            2.5,
+            100.0,
+            profiles=profiles,
+            window_ms=1000.0,
+            min_observations=20,
+            cooldown_ms=2000.0,
+            rng=0,
+        )
+        plan = controller.initial_plan()
+        sim = ElasticServingSimulation(
+            Cluster(plan.selected_config, rm2, profiles),
+            KairosPolicy(),
+            controller=controller,
+            faults=_injector(auto_replace=True),
+            fault_rng=np.random.default_rng(SEED),
+            retry=RetryPolicy(max_attempts=3),
+            scripted_events=[Event(200.0, EventKind.INSTANCE_FAILED, CrashStorm(1))],
+            startup_delay_ms=100.0,
+        )
+        report = sim.run(_queries(40))
+        assert report.instance_failures == 1
+        assert controller.failures and controller.failures[0][0] == 200.0
+        assert any(d.time_ms == 200.0 for d in report.replans)
+        assert [d.time_ms for d in report.replans] == sorted(
+            d.time_ms for d in report.replans
+        )
+        assert not any(e.reason == "replace_failed" for e in report.scale_log)
+
     def test_storm_voids_inflight_and_requeues(self, profiles, rm2):
         """Crash -> in-flight work voided -> re-queue -> served by survivors."""
         sim = _storm_sim(profiles, rm2, retry=RetryPolicy(max_attempts=3))

@@ -605,6 +605,40 @@ class TestSingleModelByteIdentity:
         assert report.completed_all
 
 
+class TestOneServingKernel:
+    """The elastic and multi-model loops share every handler through one kernel."""
+
+    SHARED = (
+        "_handle",
+        "_commit",
+        "_admit",
+        "_crash_server",
+        "_handle_response_timeout",
+        "_fail_attempt",
+        "_handle_degradation_onset",
+        "_handle_flaky_begin",
+        "_handle_zombie_onset",
+        "_quarantine_server",
+        "_handle_health_check",
+        "_handle_health_probe",
+        "_handle_hedge_timer",
+        "_cancel_hedge_loser",
+        "_observe_health",
+        "_settle_outstanding",
+        "_idle_timer_kinds",
+        "_arm_fault_timers",
+    )
+
+    @pytest.mark.parametrize("name", SHARED)
+    def test_handler_defined_once(self, name):
+        from repro.sim.elasticity import ElasticServingSimulation
+        from repro.sim.kernel import ServingKernel
+
+        handler = getattr(ServingKernel, name)
+        assert getattr(ElasticServingSimulation, name) is handler
+        assert getattr(MultiModelServingSimulation, name) is handler
+
+
 class TestSpotDisabledByteIdentity:
     """The preemption-capable path with spot disabled must not drift at all.
 

@@ -87,3 +87,20 @@ class TestPendingQueue:
         queue.append(q(3))
         queue.append(q(1))  # a removed id may be admitted again
         assert [query.query_id for query in queue.snapshot()] == [2, 3, 1]
+
+    def test_version_bumps_on_change(self):
+        queue = PendingQueue()
+        v0 = queue.version
+        queue.append(q(0))
+        v1 = queue.version
+        queue.remove(0)
+        assert v0 < v1 < queue.version
+
+    def test_snapshot_arrays_parallel_snapshot(self):
+        queue = PendingQueue()
+        for i in range(3):
+            queue.append(q(i, batch=10 + i, arrival=2.0 * i))
+        snapshot, batches, arrivals = queue.snapshot_arrays()
+        assert [query.query_id for query in snapshot] == [0, 1, 2]
+        assert list(batches) == [10, 11, 12]
+        assert list(arrivals) == [0.0, 2.0, 4.0]

@@ -411,13 +411,11 @@ class TestPipelineSimulation:
             two_model_cluster(profiles),
             MultiModelKairosPolicy(sharded=sharded),
             rng=np.random.default_rng(7),
-            sharded_events=sharded,
         )
         pipe = PipelineServingSimulation(
             two_model_cluster(profiles),
             CriticalPathKairosPolicy(sharded=sharded),
             rng=np.random.default_rng(7),
-            sharded_events=sharded,
         )
         a, b = base.run(queries), pipe.run(queries)
 

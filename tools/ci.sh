@@ -15,13 +15,23 @@
 # and the `health-smoke` stage, a gray-failure campaign (permanent
 # degradations, flaky windows, zombie servers, health scoring, quarantine
 # breakers, hedged dispatch) plus the `gray`-marked tests and an explicit
-# replay of the committed gray scenarios.
+# replay of the committed gray scenarios; and last, a tree-clean check that no
+# stage rewrote a tracked file.
 #
 # Usage: tools/ci.sh [extra pytest args...]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
+
+# No stage may rewrite tracked files (committed results hold only host-independent
+# figures, and the perf gate compares without re-recording): snapshot the tree
+# state here and compare it at the end.
+tree_state() {
+    git status --porcelain --untracked-files=all
+    git diff --no-ext-diff | sha256sum
+}
+tree_before="$(tree_state)"
 
 echo "== tier-1: unit / property / regression / integration tests =="
 python -m pytest tests -x -q --hypothesis-profile=ci "$@"
@@ -30,7 +40,9 @@ echo "== smoke benchmarks =="
 python -m pytest benchmarks -m smoke -q "$@"
 
 echo "== bench-smoke: perf regression gate =="
-python tools/bench.py --quick
+# compare against the committed BENCH_perf.json without rewriting it (re-record
+# deliberately with `python tools/bench.py`)
+python tools/bench.py --quick --dry-run
 
 echo "== fuzz-smoke: bounded invariant fuzzing + regression corpus replay =="
 python tools/fuzz.py --budget 25 --seed 1
@@ -51,5 +63,13 @@ echo "== health-smoke: gray-failure fuzzing + gray-marked tests + gray corpus re
 python tools/fuzz.py --budget 25 --seed 4 --gray
 python -m pytest tests -m gray -q --hypothesis-profile=ci "$@"
 python tools/fuzz.py --replay tests/regression/scenarios/gray-*.json
+
+echo "== tree-clean: no stage above changed the git tree =="
+tree_after="$(tree_state)"
+if [ "$tree_before" != "$tree_after" ]; then
+    echo "the stages above changed the git tree:" >&2
+    diff <(echo "$tree_before") <(echo "$tree_after") >&2 || true
+    exit 1
+fi
 
 echo "CI gate passed."

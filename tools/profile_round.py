@@ -54,10 +54,9 @@ def _instrument():
     """Install timers at the round's phase seams; returns the timer list."""
     import repro.core.cost_matrix as cost_matrix
     import repro.schedulers.kairos_policy as kairos_policy
-    import repro.sim.elasticity as elasticity
     import repro.sim.health as health
-    import repro.sim.multi_model as multi_model
     import repro.sim.simulation as simulation
+    from repro.sim.kernel import ServingKernel
     from repro.core.latency_model import OnlineLatencyEstimator
     from repro.solvers.jonker_volgenant import JonkerVolgenantSolver
 
@@ -81,17 +80,18 @@ def _instrument():
     seam("single-query fast path (joint)", kairos_policy.MultiModelKairosPolicy, "_schedule_single")
     seam("assignment solve (JV)", JonkerVolgenantSolver, "solve")
     seam("latency prediction", OnlineLatencyEstimator, "predict_many_ms")
-    seam("dispatch commit", simulation.ServingSimulation, "_commit")
-    seam("dispatch commit (elastic)", elasticity.ElasticServingSimulation, "_commit")
-    seam("dispatch commit (joint)", multi_model.MultiModelServingSimulation, "_commit")
+    seam("dispatch commit (static)", simulation.ServingSimulation, "_commit")
+    # the elastic, spot, multi-model and pipeline loops share one serving kernel,
+    # so each of these seams times every one of them
+    seam("dispatch commit (kernel)", ServingKernel, "_commit")
     # gray-failure seams: health scoring on every completion, the check/probe
     # handlers, quarantine side effects, and the hedge race machinery
     seam("health scoring (completions)", health.ServerHealthMonitor, "observe_completion")
-    seam("health check handler", elasticity.ElasticServingSimulation, "_handle_health_check")
-    seam("health probe handler", elasticity.ElasticServingSimulation, "_handle_health_probe")
-    seam("quarantine side effects", elasticity.ElasticServingSimulation, "_quarantine_server")
+    seam("health check handler", ServingKernel, "_handle_health_check")
+    seam("health probe handler", ServingKernel, "_handle_health_probe")
+    seam("quarantine side effects", ServingKernel, "_quarantine_server")
     seam("hedge delay estimate", health.HedgeManager, "hedge_delay_ms")
-    seam("hedge timer handler", elasticity.ElasticServingSimulation, "_handle_hedge_timer")
+    seam("hedge timer handler", ServingKernel, "_handle_hedge_timer")
     return timers
 
 
