@@ -3,8 +3,8 @@
 :class:`PipelineServingSimulation` subclasses
 :class:`~repro.sim.multi_model.MultiModelServingSimulation` and adds exactly three
 behaviours, each gated on the coordinator actually holding graphs so a no-graphs
-run stays byte-identical to the parent loop (sharded event queues and chaos
-profiles included — locked down by the regression byte-identity suite):
+run stays byte-identical to the parent loop (chaos profiles included — locked
+down by the regression byte-identity suite):
 
 * **Release semantics** — a graph's source stages arrive as normal queries; a
   *genuine* stage completion (not crash-voided, not timed out) releases every

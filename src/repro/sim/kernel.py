@@ -332,11 +332,6 @@ class ServingKernel:
         """Called once a provisioned instance joins the schedulable set."""
         self._arm_fault_timers(server_id, type_name, now, events)
 
-    def _after_dispatch(self, record: QueryRecord) -> None:
-        """Called for every committed dispatch, before its completion is scheduled."""
-        if self._track_inflight:
-            self._inflight.setdefault(record.server_id, []).append(record)
-
     def _market_label(self, server_id: int) -> str:
         """Purchase market of a crashed instance's like-for-like replacement."""
         return "on-demand"
@@ -744,15 +739,22 @@ class ServingKernel:
             scale_log.append(
                 ScaleLogEntry(now, "void_inflight", server.type_name, len(voided), reason)
             )
-        # drop gray-failure state for the dead server
+        self._forget_server(server_id, now)
+        return True
+
+    def _forget_server(self, server_id: int, now: float) -> None:
+        """Drop a removed server's gray-failure state (health, breaker, zombie flag).
+
+        An open quarantine span ends at the removal; the server's closing billing
+        interval takes the whole cost anyway.
+        """
         if self.monitor is not None:
             self.monitor.forget(server_id)
         span = self._quarantine_spans.pop(server_id, None)
         if span is not None:
-            span.end_ms = now  # the failed interval takes the whole cost anyway
+            span.end_ms = now
         self._zombie_ids.discard(server_id)
         self._breakers.pop(server_id, None)
-        return True
 
     def _handle_slowdown_begin(
         self, payload, now: float, events: EventQueue
@@ -1424,8 +1426,9 @@ class ServingKernel:
         return count
 
     def _launch(self, record: QueryRecord, now: float, events: EventQueue) -> None:
-        """Schedule one dispatched attempt's completion and its watchdog timers."""
-        self._after_dispatch(record)
+        """Track one dispatched attempt; schedule its completion and watchdog timers."""
+        if self._track_inflight:
+            self._inflight.setdefault(record.server_id, []).append(record)
         completion = record.completion_ms
         zombie = record.server_id in self._zombie_ids
         if zombie:

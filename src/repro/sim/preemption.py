@@ -386,14 +386,7 @@ class PreemptibleElasticSimulation(ElasticServingSimulation):
             scale_log.append(
                 ScaleLogEntry(now, "requeue", server.type_name, len(requeued))
             )
-        # drop gray-failure state for the reclaimed server
-        if self.monitor is not None:
-            self.monitor.forget(server_id)
-        span = self._quarantine_spans.pop(server_id, None)
-        if span is not None:
-            span.end_ms = now
-        self._zombie_ids.discard(server_id)
-        self._breakers.pop(server_id, None)
+        self._forget_server(server_id, now)
         return True
 
 
