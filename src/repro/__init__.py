@@ -37,11 +37,14 @@ four layers::
         |   into one query stream with per-phase windows
         v
     repro.sim.kernel                 ServingKernel (ElasticServingSimulation)
-        |   one EventQueue carrying arrivals, completions, and the provisioning
-        |   events SCALE_UP / SCALE_DOWN / INSTANCE_READY; draining semantics and
-        |   an index-stable ClusterView for the scheduling policy; per-instance
-        |   billing via repro.cloud.billing.InstanceUsageLedger; the crash, retry,
-        |   gray-failure, health and hedge handlers every elastic loop shares
+        |   the one event loop of every serving topology (the static
+        |   ServingSimulation is its fixed-fleet case): one EventQueue carrying
+        |   completions and the provisioning events SCALE_UP / SCALE_DOWN /
+        |   INSTANCE_READY, with arrivals merged in from the sorted stream;
+        |   draining semantics and an index-stable ClusterView for the scheduling
+        |   policy; per-instance billing via repro.cloud.billing.InstanceUsageLedger;
+        |   the crash, retry, gray-failure, health and hedge handlers every loop
+        |   shares
         v
     repro.core.controller            ElasticKairosController
         |   sliding ArrivalRateEstimator detects sustained load change; KairosPlanner

@@ -161,7 +161,14 @@ def fault_specs(draw, duration_ms: float, gray: bool = False) -> FaultSpec:
 def retry_specs(draw, duration_ms: float) -> RetrySpec:
     return RetrySpec(
         max_attempts=draw(st.integers(min_value=1, max_value=4)),
-        backoff_base_ms=draw(st.floats(min_value=1.0, max_value=200.0, allow_nan=False)),
+        # zero backoff re-queues a failed attempt at its failure instant, which
+        # exercises the same-instant re-drain of every loop
+        backoff_base_ms=draw(
+            st.one_of(
+                st.just(0.0),
+                st.floats(min_value=1.0, max_value=200.0, allow_nan=False),
+            )
+        ),
         backoff_factor=draw(st.floats(min_value=1.0, max_value=3.0, allow_nan=False)),
         # Deadlines tight enough to trip on slow instances but not on every dispatch.
         response_timeout_ms=draw(

@@ -78,6 +78,7 @@ class Cluster:
                     dispatch_overhead_ms=self.dispatch_overhead_ms,
                 )
             )
+        self._by_id: Dict[int, ServerInstance] = {s.server_id: s for s in self._servers}
 
     # -- container protocol --------------------------------------------------------------
     def __len__(self) -> int:
@@ -128,10 +129,10 @@ class Cluster:
     # -- elastic membership ----------------------------------------------------------------
     def server_by_id(self, server_id: int) -> ServerInstance:
         """Look a server up by its (stable) id rather than its (shifting) list index."""
-        for s in self._servers:
-            if s.server_id == server_id:
-                return s
-        raise KeyError(f"no server with id {server_id} in the cluster")
+        try:
+            return self._by_id[server_id]
+        except KeyError:
+            raise KeyError(f"no server with id {server_id} in the cluster") from None
 
     def reserve_server_id(self) -> int:
         """Claim the next fresh server id (used when billing starts before readiness)."""
@@ -152,7 +153,7 @@ class Cluster:
         """
         if server_id is None:
             server_id = self.reserve_server_id()
-        elif any(s.server_id == server_id for s in self._servers):
+        elif server_id in self._by_id:
             raise ValueError(f"server id {server_id} is already present in the cluster")
         itype = (
             self.config.catalog[instance_type]
@@ -167,6 +168,7 @@ class Cluster:
             commissioned_at_ms=float(now_ms),
         )
         self._servers.append(server)
+        self._by_id[server_id] = server
         return server
 
     def drain_servers(self, type_name: str, count: int, now_ms: float) -> List[ServerInstance]:
@@ -188,6 +190,7 @@ class Cluster:
         """Decommission a server (it must exist); returns the removed instance."""
         server = self.server_by_id(server_id)
         self._servers.remove(server)
+        del self._by_id[server_id]
         return server
 
     def active_servers(self) -> List[ServerInstance]:

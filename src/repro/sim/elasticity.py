@@ -1,10 +1,10 @@
 """Elastic serving simulation: provisioning events, draining, and online re-planning.
 
-:class:`ElasticServingSimulation` generalizes :class:`~repro.sim.simulation.ServingSimulation`
-to clusters whose membership changes mid-run.  Everything — arrivals, completions, and
-the new provisioning events — flows through one :class:`~repro.sim.engine.EventQueue`
-under the existing ordering contract (completions before arrivals at equal
-timestamps), so elastic runs are exactly as deterministic as static ones.
+:class:`ElasticServingSimulation` serves clusters whose membership changes mid-run
+(:class:`~repro.sim.simulation.ServingSimulation` is its fixed-fleet case).  Arrivals,
+completions and the provisioning events follow one ordering contract (completions
+before arrivals at equal timestamps), so elastic runs are exactly as deterministic as
+static ones.
 
 Lifecycle of a scale action:
 
@@ -31,9 +31,8 @@ topology and the cost-aware drain order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Set
 
-from repro.core.controller import ElasticKairosController, ReplanDecision
 from repro.sim.cluster import Cluster, ClusterView
 from repro.sim.engine import EventQueue
 from repro.sim.events import Event, EventKind, ScaleRequest
@@ -41,6 +40,9 @@ from repro.sim.kernel import KernelReport, ScaleLogEntry, ServingKernel  # noqa:
 from repro.sim.metrics import ServingMetrics
 from repro.sim.server import ServerInstance
 from repro.workload.query import Query
+
+if TYPE_CHECKING:  # the controller imports the capacity probe, which imports this loop
+    from repro.core.controller import ElasticKairosController, ReplanDecision
 
 
 def _probe_batches(max_batch: int) -> List[int]:
@@ -184,9 +186,9 @@ class ElasticServingSimulation(ServingKernel):
         super().__init__(cluster, policy, **kwargs)
 
     def run(self, queries: Sequence[Query]) -> ElasticSimulationReport:
-        """Serve ``queries`` once.  Unlike :class:`~repro.sim.simulation.ServingSimulation`
-        this driver is one-shot: a run permanently mutates cluster membership and the
-        controller's observation history, so repeat runs must build fresh objects."""
+        """Serve ``queries`` once.  The driver is one-shot: a run permanently mutates
+        cluster membership and the controller's observation history, so repeat runs
+        must build fresh objects."""
         return ElasticSimulationReport(**self._serve(queries))
 
     # -- topology: one model, one cluster -------------------------------------------------

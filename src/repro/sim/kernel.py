@@ -1,8 +1,8 @@
 """The serving kernel: one event loop and one fault/health/hedge stack for every
-elastic topology.
+serving topology.
 
-:class:`ServingKernel` owns everything the elastic and multi-model serving loops
-share: the event loop over one :class:`~repro.sim.engine.EventQueue` and one
+:class:`ServingKernel` owns everything the static, elastic and multi-model serving
+loops share: the event loop over one :class:`~repro.sim.engine.EventQueue` and one
 :class:`~repro.sim.pending.PendingQueue`, the admission valve, dispatch commit,
 the provisioning lifecycle (``SCALE_UP`` / ``SCALE_DOWN`` / ``INSTANCE_READY``),
 crash, slowdown, response-timeout, retry and dead-letter handling, the gray
@@ -17,7 +17,8 @@ A topology subclass supplies only what differs, through a few hooks:
 * the cluster's reserve and add calls for that partition;
 * the commit-time model check (:meth:`ServingKernel._server_models`);
 * warm-up, ``policy.bind``, the metrics type and the re-plan fan-out
-  (:meth:`ServingKernel._emit_scale_events`).
+  (:meth:`ServingKernel._emit_scale_events`);
+* the view the policy schedules on (:meth:`ServingKernel._active_view`).
 
 The subclasses keep their own ``run``: it validates, calls :meth:`ServingKernel._serve`
 and builds the report.
@@ -25,11 +26,13 @@ and builds the report.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.cloud.billing import SPAN_HEDGE, SPAN_QUARANTINE, InstanceUsageLedger
-from repro.sim.engine import EventQueue, SimulationClock
+from repro.sim.engine import TIME_EPSILON_MS, EventQueue, SimulationClock
 from repro.sim.events import CrashStorm, Event, EventKind, ScaleRequest
 from repro.sim.faults import (
     AdmissionController,
@@ -120,6 +123,13 @@ class KernelReport:
         return self.ledger.total_cost(self.billing_horizon_ms)
 
 
+def _batch_key(item) -> tuple:
+    """Heap position of an event, or of a fresh arrival (a bare query) in one batch."""
+    if item.__class__ is Event:
+        return item.time_ms, item.kind
+    return item.arrival_time_ms, EventKind.QUERY_ARRIVAL
+
+
 def _scale_reason(request: ScaleRequest, model_name: Optional[str]) -> str:
     """Scale-log reason: the request's reason, tagged with its model partition."""
     if model_name is None:
@@ -128,11 +138,12 @@ def _scale_reason(request: ScaleRequest, model_name: Optional[str]) -> str:
 
 
 class ServingKernel:
-    """The shared event loop and failure machinery of the elastic serving loops.
+    """The shared event loop and failure machinery of every serving loop.
 
     Not used directly: :class:`~repro.sim.elasticity.ElasticServingSimulation`
-    (one model) and :class:`~repro.sim.multi_model.MultiModelServingSimulation`
-    (co-located models) are its topologies.  Parameters are documented on
+    (one model), its fixed-fleet case :class:`~repro.sim.simulation.ServingSimulation`
+    and :class:`~repro.sim.multi_model.MultiModelServingSimulation` (co-located
+    models) are its topologies.  Parameters are documented on
     :class:`~repro.sim.elasticity.ElasticServingSimulation`.
     """
 
@@ -237,6 +248,11 @@ class ServingKernel:
         self.scripted_events = tuple(scripted_events)
         for event in self.scripted_events:
             self._validate_scripted(event)
+        #: early-stop budget: the run ends once more measured completions than this
+        #: miss ``qos_ms`` (only the static topology sets it)
+        self.max_violations: Optional[int] = None
+        #: whether the last run ended on the violation budget
+        self.early_stopped = False
         self._ran = False
 
     # -- topology hooks -------------------------------------------------------------------
@@ -280,6 +296,10 @@ class ServingKernel:
 
     def _bind(self, view) -> None:
         raise NotImplementedError
+
+    def _active_view(self):
+        """The index-stable set of accepting servers the policy schedules on."""
+        return self.cluster.active_view()
 
     def _emit_scale_events(self, decision, now: float, events: EventQueue) -> None:
         """Turn a controller re-plan into same-instant provisioning events."""
@@ -362,8 +382,6 @@ class ServingKernel:
 
         clock = SimulationClock(0.0)
         events = EventQueue()
-        for q in ordered:
-            events.push(Event(q.arrival_time_ms, EventKind.QUERY_ARRIVAL, q))
         events.push_all(self.scripted_events)
         ledger = InstanceUsageLedger(self._catalog)
         self._open_initial_billing(ledger, events)
@@ -377,64 +395,114 @@ class ServingKernel:
         # strand booting instances.
         self._booting: Dict[Tuple[Optional[str], str], List[int]] = {}
         self._cancelled: set = set()
+        self._idle_kinds = self._idle_timer_kinds()
+        self._violations = 0
+        controller = self.controller
         dispatched = 0
         rounds = 0
         peak = len(self.cluster)
-        view = self.cluster.active_view()
+        view = self._active_view()
+        schedulable = len(view)
         self._bind(view)
-        # generous guard against a policy that never makes progress
-        max_steps = 20 * n + 1000
+        # Fresh arrivals are read from the sorted stream through a cursor rather
+        # than pushed through the heap.  They join each batch at the heap position
+        # of a QUERY_ARRIVAL pushed before every other event: after completions at
+        # their instant, and first among equal (time, kind) keys.
+        arrival_times = [q.arrival_time_ms for q in ordered] + [math.inf]
+        next_fresh = 0
+        # generous guard against a policy that never makes progress (each retry
+        # attempt may add a bounded number of extra steps)
+        attempts = self.retry.max_attempts if self.retry is not None else 1
+        max_steps = 20 * n * attempts + 1000
         steps = 0
 
-        while events:
+        # hot-loop locals: these run once or twice per event
+        handle, peek, pop_batch = self._handle, events.peek_time, events.pop_batch
+
+        while next_fresh < n or events:
             steps += 1
             if steps > max_steps:
                 raise RuntimeError(
                     f"simulation exceeded {max_steps} steps; the scheduling policy "
                     f"{type(self.policy).__name__} appears to be making no progress"
                 )
-            now = clock.advance_to(events.peek_time())
+            next_event = peek()
+            next_arrival = arrival_times[next_fresh]  # inf once the stream is spent
+            if next_event is None or next_arrival <= next_event:
+                now = clock.advance_to(next_arrival)
+            else:
+                now = clock.advance_to(next_event)
+            limit = now + TIME_EPSILON_MS
             membership_changed = False
             saw_arrival = False
 
             # Drain the whole timestamp batch; handlers may push follow-up events at
-            # `now` (a replan's scale requests), which the inner loop picks up before
-            # the scheduling round so new decisions act in the same instant.
-            batch = events.pop_batch(now)
-            while batch:
+            # `now` (a replan's scale requests, a zero-backoff retry), which the
+            # inner loop picks up before the scheduling round so new work acts in
+            # the same instant.
+            due = next_event is not None and next_event <= limit
+            batch = pop_batch(now) if due else []
+            if next_arrival <= limit:
+                arrived = bisect_right(arrival_times, limit, next_fresh)
+                fresh = ordered[next_fresh:arrived]
+                next_fresh = arrived
+                # the sort is stable: the fresh prefix stays first at equal keys
+                batch = sorted(fresh + batch, key=_batch_key) if batch else fresh
+            while True:
+                handled = False
                 for event in batch:
-                    kind_changed, kind_arrival = self._handle(
-                        event, now, metrics, ledger, scale_log, warmup_ids, events
-                    )
-                    membership_changed = membership_changed or kind_changed
-                    saw_arrival = saw_arrival or kind_arrival
-                    if kind_arrival:
-                        pending.append(event.payload)
+                    if event.__class__ is Event:
+                        handled = True
+                        changed, arrival = handle(
+                            event, now, metrics, ledger, scale_log, warmup_ids, events
+                        )
+                        if changed:
+                            membership_changed = True
+                        if not arrival:
+                            continue
+                        event = event.payload
+                    elif controller is not None:
+                        # a fresh arrival from the stream (a re-queue is an Event)
+                        controller.observe_arrival(event, now)
+                    pending.append(event)
+                    saw_arrival = True
                 # The controller reacts right after the arrivals of this instant are
                 # observed — the one-shot re-plan (Fig. 12) happens inside the event
                 # loop, not between runs.  Replan BEFORE re-popping: the decision's
                 # same-instant scale events must land in the next inner batch, or an
                 # empty re-pop would strand them past this round and the outer loop
                 # would re-wake at the same `now` for a duplicate scheduling round.
-                if saw_arrival and self.controller is not None:
-                    decision = self.controller.maybe_replan(now)
+                if saw_arrival and controller is not None:
+                    decision = controller.maybe_replan(now)
                     if decision is not None:
+                        handled = True
                         replans.append(decision)
                         self._emit_scale_events(decision, now, events)
                     saw_arrival = False
-                batch = events.pop_batch(now)
+                # only a handler or a re-plan can push an event at `now`
+                if not handled:
+                    break
+                next_event = peek()
+                if next_event is None or next_event > limit:
+                    break
+                batch = pop_batch(now)
+
+            if self.max_violations is not None and self._violations > self.max_violations:
+                self.early_stopped = True
+                break
 
             if membership_changed:
-                view = self.cluster.active_view()
+                view = self._active_view()
+                schedulable = len(view)
                 # A fully drained fleet leaves nothing to bind or schedule; queries
                 # wait centrally until an INSTANCE_READY brings capacity back (the
                 # next membership change re-binds).
-                if len(view):
+                if schedulable:
                     self._bind(view)
                 peak = max(peak, len(self.cluster))
 
             # scheduling round over the accepting servers (behind the admission valve)
-            if pending and len(view):
+            if pending and schedulable:
                 admitted = self._admit(pending, now, events)
                 if admitted:
                     assignments = self.policy.schedule(now, admitted, view)
@@ -456,8 +524,9 @@ class ServingKernel:
             # watchdog voids the attempt to a terminal outcome.
             if (
                 pending
+                and next_fresh >= n
                 and not self._zombie_attempts
-                and (not events or events.only_kinds(self._idle_timer_kinds()))
+                and (not events or events.only_kinds(self._idle_kinds))
             ):
                 break
 
@@ -489,7 +558,8 @@ class ServingKernel:
             shed_queries=self.shed_queries,
             dead_letters=self.dead_letters,
             retries=self._retries,
-            unserved_queries=len(pending),
+            # an early stop abandons queued, in-flight and unarrived queries alike
+            unserved_queries=self._outstanding if self.early_stopped else len(pending),
             hedges_launched=self.hedges_launched,
             hedges_cancelled=self.hedges_cancelled,
             hedge_wins=self.hedge_wins,
@@ -514,33 +584,19 @@ class ServingKernel:
         """
         if self.faults is None or self._outstanding <= 0:
             return
-        delay = self.faults.draw_failure_delay_ms(type_name, self._fault_rng)
-        if delay is not None:
-            events.push(
-                Event(now + delay, EventKind.INSTANCE_FAILED, (server_id, type_name))
-            )
-        delay = self.faults.draw_slowdown_delay_ms(type_name, self._fault_rng)
-        if delay is not None:
-            events.push(
-                Event(now + delay, EventKind.SLOWDOWN_BEGIN, (server_id, type_name))
-            )
-        # gray modes draw from the dedicated gray stream, after the fault-stream
-        # draws above, so arming them never perturbs crash/slowdown schedules
-        delay = self.faults.draw_degradation_delay_ms(type_name, self._gray_rng)
-        if delay is not None:
-            events.push(
-                Event(now + delay, EventKind.DEGRADATION_ONSET, (server_id, type_name))
-            )
-        delay = self.faults.draw_flaky_delay_ms(type_name, self._gray_rng)
-        if delay is not None:
-            events.push(
-                Event(now + delay, EventKind.FLAKY_BEGIN, (server_id, type_name))
-            )
-        delay = self.faults.draw_zombie_delay_ms(type_name, self._gray_rng)
-        if delay is not None:
-            events.push(
-                Event(now + delay, EventKind.ZOMBIE_ONSET, (server_id, type_name))
-            )
+        faults, fault_rng, gray_rng = self.faults, self._fault_rng, self._gray_rng
+        for draw, rng, kind in (
+            (faults.draw_failure_delay_ms, fault_rng, EventKind.INSTANCE_FAILED),
+            (faults.draw_slowdown_delay_ms, fault_rng, EventKind.SLOWDOWN_BEGIN),
+            # gray modes draw from the dedicated gray stream, after the fault-stream
+            # draws above, so arming them never perturbs crash/slowdown schedules
+            (faults.draw_degradation_delay_ms, gray_rng, EventKind.DEGRADATION_ONSET),
+            (faults.draw_flaky_delay_ms, gray_rng, EventKind.FLAKY_BEGIN),
+            (faults.draw_zombie_delay_ms, gray_rng, EventKind.ZOMBIE_ONSET),
+        ):
+            delay = draw(type_name, rng)
+            if delay is not None:
+                events.push(Event(now + delay, kind, (server_id, type_name)))
 
     def _idle_timer_kinds(self) -> Set[EventKind]:
         """Event kinds that must not outlive the workload (subclasses widen)."""
@@ -575,7 +631,7 @@ class ServingKernel:
         """
         self._outstanding -= 1
         if self._outstanding == 0:
-            kinds = self._idle_timer_kinds()
+            kinds = self._idle_kinds
             if kinds:
                 events.discard(lambda e: e.kind in kinds)
 
@@ -756,34 +812,49 @@ class ServingKernel:
         self._zombie_ids.discard(server_id)
         self._breakers.pop(server_id, None)
 
-    def _handle_slowdown_begin(
-        self, payload, now: float, events: EventQueue
+    def _handle_window_begin(
+        self, kind: EventKind, payload, now: float, events: EventQueue
     ) -> None:
+        """A transient slowdown or a flaky window opens on one server."""
         server_id, type_name = payload
         try:
             server = self.cluster.server_by_id(server_id)
         except KeyError:
-            return  # crashed/decommissioned before the slowdown started
+            return  # crashed/decommissioned before the window opened
         profile = self.faults[type_name]
-        until = now + profile.slowdown_duration_ms
-        server.begin_slowdown(profile.slowdown_factor, until)
-        events.push(Event(until, EventKind.SLOWDOWN_END, (server_id, type_name)))
+        if kind == EventKind.SLOWDOWN_BEGIN:
+            factor, duration = profile.slowdown_factor, profile.slowdown_duration_ms
+            end = EventKind.SLOWDOWN_END
+        else:
+            factor, duration = profile.flaky_factor, profile.flaky_duration_ms
+            end = EventKind.FLAKY_END
+        until = now + duration
+        server.begin_slowdown(factor, until)
+        events.push(Event(until, end, payload))
 
-    def _handle_slowdown_end(
-        self, payload, now: float, events: EventQueue
+    def _handle_window_end(
+        self, kind: EventKind, payload, now: float, events: EventQueue
     ) -> None:
+        """A slowdown or flaky window closes; draw when the next one opens.
+
+        Slowdowns draw from the fault stream, flaky windows from the gray stream.
+        """
         server_id, type_name = payload
         try:
             server = self.cluster.server_by_id(server_id)
         except KeyError:
-            return  # died mid-slowdown: nothing to restore, nothing to re-arm
+            return  # died mid-window: nothing to restore, nothing to re-arm
         server.end_slowdown()
-        if self._outstanding > 0:
+        if self._outstanding <= 0:
+            return
+        if kind == EventKind.SLOWDOWN_END:
             delay = self.faults.draw_slowdown_delay_ms(type_name, self._fault_rng)
-            if delay is not None:
-                events.push(
-                    Event(now + delay, EventKind.SLOWDOWN_BEGIN, (server_id, type_name))
-                )
+            begin = EventKind.SLOWDOWN_BEGIN
+        else:
+            delay = self.faults.draw_flaky_delay_ms(type_name, self._gray_rng)
+            begin = EventKind.FLAKY_BEGIN
+        if delay is not None:
+            events.push(Event(now + delay, begin, payload))
 
     def _handle_response_timeout(self, record: QueryRecord, now: float, events: EventQueue) -> None:
         """The response deadline elapsed before the completion: abandon the attempt.
@@ -810,31 +881,6 @@ class ServingKernel:
         scale_log.append(
             ScaleLogEntry(now, "degradation_onset", type_name, 1, f"server{server_id}")
         )
-
-    def _handle_flaky_begin(self, payload, now: float, events: EventQueue) -> None:
-        server_id, type_name = payload
-        try:
-            server = self.cluster.server_by_id(server_id)
-        except KeyError:
-            return
-        profile = self.faults[type_name]
-        until = now + profile.flaky_duration_ms
-        server.begin_slowdown(profile.flaky_factor, until)
-        events.push(Event(until, EventKind.FLAKY_END, (server_id, type_name)))
-
-    def _handle_flaky_end(self, payload, now: float, events: EventQueue) -> None:
-        server_id, type_name = payload
-        try:
-            server = self.cluster.server_by_id(server_id)
-        except KeyError:
-            return
-        server.end_slowdown()
-        if self._outstanding > 0:
-            delay = self.faults.draw_flaky_delay_ms(type_name, self._gray_rng)
-            if delay is not None:
-                events.push(
-                    Event(now + delay, EventKind.FLAKY_BEGIN, (server_id, type_name))
-                )
 
     def _handle_zombie_onset(
         self, payload, now: float, scale_log: List[ScaleLogEntry]
@@ -1164,40 +1210,44 @@ class ServingKernel:
         """Apply one event; returns ``(membership_changed, was_arrival)``."""
         if event.kind == EventKind.SERVICE_COMPLETION:
             record: QueryRecord = event.payload
-            if id(record) in self._killed:
-                # the server died mid-service; the attempt was voided and this
-                # completion never happened
-                self._killed.discard(id(record))
-                return False, False
-            timed_out = id(record) in self._timed_out
-            absorbed = id(record) in self._absorbed
-            # a swallowed completion drains the server's local queue (the GPU
-            # finished the work) but the client path already moved on — timeout
-            # abandonments and cancelled hedge/stuck attempts alike
-            swallowed = timed_out or absorbed
-            if swallowed:
-                self._timed_out.discard(id(record))
-                self._absorbed.discard(id(record))
-                try:
-                    self.cluster.server_by_id(record.server_id)
-                except KeyError:
-                    # The abandoned attempt's server crashed after the timeout
-                    # (the crash could not void the record: the timeout had
-                    # already pulled it out of the in-flight set), so this
-                    # phantom completion has no server left to account against.
+            swallowed = False
+            # only a run that tracks in-flight work can void or abandon an attempt
+            if self._track_inflight:
+                rid = id(record)
+                if rid in self._killed:
+                    # the server died mid-service; the attempt was voided and this
+                    # completion never happened
+                    self._killed.discard(rid)
                     return False, False
-            else:
-                inflight = self._inflight.get(record.server_id)
-                if inflight is not None:
-                    inflight.remove(record)
-                    if not inflight:
-                        del self._inflight[record.server_id]
+                # a swallowed completion drains the server's local queue (the GPU
+                # finished the work) but the client path already moved on — timeout
+                # abandonments and cancelled hedge/stuck attempts alike
+                swallowed = rid in self._timed_out or rid in self._absorbed
+                if swallowed:
+                    self._timed_out.discard(rid)
+                    self._absorbed.discard(rid)
+                    try:
+                        server = self.cluster.server_by_id(record.server_id)
+                    except KeyError:
+                        # The abandoned attempt's server crashed after the timeout
+                        # (the crash could not void the record: the timeout had
+                        # already pulled it out of the in-flight set), so this
+                        # phantom completion has no server left to account against.
+                        return False, False
+                else:
+                    inflight = self._inflight.get(record.server_id)
+                    if inflight is not None:
+                        inflight.remove(record)
+                        if not inflight:
+                            del self._inflight[record.server_id]
+            if not swallowed:
                 self._settle_outstanding(events)
-            server = self.cluster.server_by_id(record.server_id)
+                server = self.cluster.server_by_id(record.server_id)
             server.complete_one()
             health_changed = False
             if not swallowed:
-                pair = self._hedge_pairs.pop(record.query.query_id, None)
+                qid = record.query.query_id
+                pair = self._hedge_pairs.pop(qid, None) if self._hedge_pairs else None
                 if pair is not None:
                     # first genuine completion wins the race; the partner is
                     # cancelled and its partial occupancy billed as hedge cost
@@ -1207,14 +1257,20 @@ class ServingKernel:
                         self._cancel_hedge_loser(primary, now, ledger)
                     else:
                         self._cancel_hedge_loser(duplicate, now, ledger)
-                if record.query.query_id not in warmup_ids:
+                if qid not in warmup_ids:
                     metrics.record(record)
                     if self.admission is not None:
                         self.admission.observe_latency(record.latency_ms)
+                    if (
+                        self.max_violations is not None
+                        and record.latency_ms > self.qos_ms + 1e-9
+                    ):
+                        self._violations += 1
                 self.policy.observe_completion(record)
-                health_changed = self._observe_health(
-                    record, server, now, events, ledger, scale_log
-                )
+                if self.monitor is not None or self.hedges is not None:
+                    health_changed = self._observe_health(
+                        record, server, now, events, ledger, scale_log
+                    )
             if server.drained:
                 self.cluster.remove_server(server.server_id)
                 ledger.stop(server.server_id, now)
@@ -1242,12 +1298,12 @@ class ServingKernel:
                 False,
             )
 
-        if event.kind == EventKind.SLOWDOWN_BEGIN:
-            self._handle_slowdown_begin(event.payload, now, events)
+        if event.kind in (EventKind.SLOWDOWN_BEGIN, EventKind.FLAKY_BEGIN):
+            self._handle_window_begin(event.kind, event.payload, now, events)
             return False, False
 
-        if event.kind == EventKind.SLOWDOWN_END:
-            self._handle_slowdown_end(event.payload, now, events)
+        if event.kind in (EventKind.SLOWDOWN_END, EventKind.FLAKY_END):
+            self._handle_window_end(event.kind, event.payload, now, events)
             return False, False
 
         if event.kind == EventKind.RESPONSE_TIMEOUT:
@@ -1256,14 +1312,6 @@ class ServingKernel:
 
         if event.kind == EventKind.DEGRADATION_ONSET:
             self._handle_degradation_onset(event.payload, now, scale_log)
-            return False, False
-
-        if event.kind == EventKind.FLAKY_BEGIN:
-            self._handle_flaky_begin(event.payload, now, events)
-            return False, False
-
-        if event.kind == EventKind.FLAKY_END:
-            self._handle_flaky_end(event.payload, now, events)
             return False, False
 
         if event.kind == EventKind.ZOMBIE_ONSET:
@@ -1391,13 +1439,16 @@ class ServingKernel:
         events: EventQueue,
     ) -> int:
         count = 0
+        size = len(view)
+        track = self._track_inflight
+        noise, rng = self.noise, self.rng
         server_models = self._server_models(view)
         for query, server_idx in assignments:
             if query.query_id not in pending:
                 raise ValueError(
                     f"policy assigned query {query.query_id}, which is not pending"
                 )
-            if not 0 <= server_idx < len(view):
+            if not 0 <= server_idx < size:
                 raise ValueError(f"policy assigned an unknown server index {server_idx}")
             if (
                 server_models is not None
@@ -1410,9 +1461,7 @@ class ServingKernel:
                 )
             pending.remove(query.query_id)
             server = view[server_idx]
-            start, completion, service = server.dispatch(
-                query, now, noise=self.noise, rng=self.rng
-            )
+            start, completion, service = server.dispatch(query, now, noise=noise, rng=rng)
             record = QueryRecord(
                 query=query,
                 server_id=server.server_id,
@@ -1421,15 +1470,18 @@ class ServingKernel:
                 completion_ms=completion,
                 service_ms=service,
             )
-            self._launch(record, now, events)
+            if track:
+                self._launch(record, now, events)
+            else:
+                events.push(Event(completion, EventKind.SERVICE_COMPLETION, record))
             count += 1
         return count
 
     def _launch(self, record: QueryRecord, now: float, events: EventQueue) -> None:
-        """Track one dispatched attempt; schedule its completion and watchdog timers."""
-        if self._track_inflight:
-            self._inflight.setdefault(record.server_id, []).append(record)
+        """Track one dispatched attempt that a crash, timeout, health or hedge layer
+        may void; schedule its completion and watchdog timers."""
         completion = record.completion_ms
+        self._inflight.setdefault(record.server_id, []).append(record)
         zombie = record.server_id in self._zombie_ids
         if zombie:
             # a zombie accepts the dispatch but never emits its completion:

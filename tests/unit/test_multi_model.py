@@ -616,7 +616,8 @@ class TestOneServingKernel:
         "_handle_response_timeout",
         "_fail_attempt",
         "_handle_degradation_onset",
-        "_handle_flaky_begin",
+        "_handle_window_begin",
+        "_handle_window_end",
         "_handle_zombie_onset",
         "_quarantine_server",
         "_handle_health_check",

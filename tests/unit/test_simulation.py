@@ -8,7 +8,9 @@ from repro.schedulers.fcfs import RibbonFCFSPolicy
 from repro.schedulers.kairos_policy import KairosPolicy
 from repro.sim.simulation import ServingSimulation, simulate_serving
 from repro.sim.cluster import Cluster
-from repro.workload.generator import queries_from_batches
+from repro.sim.engine import TIME_EPSILON_MS
+from repro.sim.faults import RetryPolicy
+from repro.workload.generator import WorkloadGenerator, WorkloadSpec, queries_from_batches
 from repro.workload.query import Query
 
 
@@ -149,3 +151,52 @@ class TestPolicyContractEnforcement:
     def test_invalid_warmup(self, single_gpu_config, rm2, profiles, rm2_cluster):
         with pytest.raises(ValueError):
             ServingSimulation(rm2_cluster, RibbonFCFSPolicy(), warmup_queries=-1)
+
+
+class _RoundClockPolicy(KairosPolicy):
+    """Kairos, recording the instant of every scheduling round."""
+
+    def __init__(self):
+        super().__init__()
+        self.round_times = []
+
+    def schedule(self, now_ms, pending, cluster):
+        self.round_times.append(now_ms)
+        return super().schedule(now_ms, pending, cluster)
+
+
+class TestZeroBackoffRetry:
+    """A retry re-queued with zero backoff joins the round of its own instant."""
+
+    def _run(self, catalog, rm2, profiles, backoff_ms):
+        queries = WorkloadGenerator(WorkloadSpec(num_queries=300)).generate(
+            rate_qps=150.0, rng=5
+        )
+        policy = _RoundClockPolicy()
+        report = ServingSimulation(
+            Cluster(HeterogeneousConfig((1, 0, 2, 0), catalog), rm2, profiles),
+            policy,
+            rng=np.random.default_rng(6),
+            retry=RetryPolicy(
+                max_attempts=3, backoff_base_ms=backoff_ms, response_timeout_ms=150.0
+            ),
+        ).run(queries)
+        return report, policy.round_times
+
+    def test_no_duplicate_rounds_at_one_instant(self, catalog, rm2, profiles):
+        report, times = self._run(catalog, rm2, profiles, backoff_ms=0.0)
+        assert report.retries > 0  # non-vacuous: zero-backoff re-queues happened
+        repeats = sum(1 for a, b in zip(times, times[1:]) if b - a <= TIME_EPSILON_MS)
+        assert repeats == 0
+        assert report.scheduling_rounds == len(times)
+        # every query still ends exactly one way
+        settled = len(report.metrics) + len(report.dead_letters) + report.unserved_queries
+        assert settled == 300
+
+
+class TestOneShot:
+    def test_second_run_is_refused(self, rm2_cluster, small_workload):
+        sim = ServingSimulation(rm2_cluster, RibbonFCFSPolicy())
+        sim.run(small_workload)
+        with pytest.raises(RuntimeError, match="one-shot"):
+            sim.run(small_workload)

@@ -15,8 +15,10 @@
 # and the `health-smoke` stage, a gray-failure campaign (permanent
 # degradations, flaky windows, zombie servers, health scoring, quarantine
 # breakers, hedged dispatch) plus the `gray`-marked tests and an explicit
-# replay of the committed gray scenarios; and last, a tree-clean check that no
-# stage rewrote a tracked file.
+# replay of the committed gray scenarios; the `perfbench` stage, the repo
+# benchmark's own tests (tiny capacity/fleet/churn/dag passes with their output
+# checks, plus the traced run); and last, a tree-clean check that no stage
+# rewrote a tracked file.
 #
 # Usage: tools/ci.sh [extra pytest args...]
 set -euo pipefail
@@ -63,6 +65,9 @@ echo "== health-smoke: gray-failure fuzzing + gray-marked tests + gray corpus re
 python tools/fuzz.py --budget 25 --seed 4 --gray
 python -m pytest tests -m gray -q --hypothesis-profile=ci "$@"
 python tools/fuzz.py --replay tests/regression/scenarios/gray-*.json
+
+echo "== perfbench: tiny benchmark passes, output checks and traced run =="
+python -m pytest perfbench/test_perfbench.py -q "$@"
 
 echo "== tree-clean: no stage above changed the git tree =="
 tree_after="$(tree_state)"

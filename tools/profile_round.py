@@ -55,7 +55,6 @@ def _instrument():
     import repro.core.cost_matrix as cost_matrix
     import repro.schedulers.kairos_policy as kairos_policy
     import repro.sim.health as health
-    import repro.sim.simulation as simulation
     from repro.sim.kernel import ServingKernel
     from repro.core.latency_model import OnlineLatencyEstimator
     from repro.solvers.jonker_volgenant import JonkerVolgenantSolver
@@ -80,9 +79,8 @@ def _instrument():
     seam("single-query fast path (joint)", kairos_policy.MultiModelKairosPolicy, "_schedule_single")
     seam("assignment solve (JV)", JonkerVolgenantSolver, "solve")
     seam("latency prediction", OnlineLatencyEstimator, "predict_many_ms")
-    seam("dispatch commit (static)", simulation.ServingSimulation, "_commit")
-    # the elastic, spot, multi-model and pipeline loops share one serving kernel,
-    # so each of these seams times every one of them
+    # the static, elastic, spot, multi-model and pipeline loops share one serving
+    # kernel, so each of these seams times every one of them
     seam("dispatch commit (kernel)", ServingKernel, "_commit")
     # gray-failure seams: health scoring on every completion, the check/probe
     # handlers, quarantine side effects, and the hedge race machinery
